@@ -2,801 +2,37 @@
 
 Usage::
 
-    python -m repro list
-    python -m repro table1
-    python -m repro fig3 [--quick]
-    python -m repro all [--quick]
-    python -m repro chaos list
-    python -m repro chaos region-blackout [--seed N]
-    python -m repro chaos all --seeds 5 [--json] [--parallel N]
-    python -m repro sweep [--kinds chaos,verify] [--seeds K] [--parallel N]
-    python -m repro verify [--scenario NAME|all|clock] [--seed N] [--json]
-    python -m repro verify --scenario all --protocol epoch-occ --seeds 5
-    python -m repro verify --check history.json
-    python -m repro repair [--seed N] [--scenario NAME]
-    python -m repro rebalance [--seeds K] [--json] [--update-golden]
-    python -m repro protocols [--seeds K] [--json] [--update-golden]
-    python -m repro trace [--workload movr] [--scenario NAME] [--seed N]
-    python -m repro metrics [--workload movr] [--scenario NAME] [--json]
-    python -m repro bench [--workload kv] [--obs off] [--scale 0.5]
+    python -m repro list | all | table1 | fig3 ... [--quick]
+    python -m repro chaos|verify|repair|rebalance|protocols ... [--json]
+    python -m repro trace|metrics|bench|scale|sweep ...
+    python -m repro <command> --help
 
-``--quick`` shrinks client/op counts (~5x faster, coarser percentiles).
-``chaos`` runs a nemesis fault-injection scenario and prints the
-invariant report plus an availability/latency timeline (or, with
-``--json``, a machine-readable report); it exits non-zero if any
-invariant is violated.  ``repair`` runs the self-healing scenarios and
-reports liveness transitions, repair actions, and time-to-repair.
-``trace`` runs a deterministic workload (or chaos scenario) and prints
-the span tree with the critical path and commit-wait breakdown;
-``metrics`` prints the unified registry snapshot for the same runs.
-``chaos`` and ``verify`` accept ``--protocol epoch-occ`` to run their
-scenarios on the optimistic transaction backend; ``protocols`` runs
-both backends head-to-head on the identical workload and nemesis
-schedule and checks per-(protocol, seed) golden fingerprints.
+Every command is an entry of :mod:`repro.harness.registry`, which
+declares its flags, run and render functions, default seeds and, for
+``rebalance`` and ``protocols``, the golden file its fingerprints are
+checked against (:mod:`repro.goldens`).  The same entries back the
+sweep farm (``sweep`` and ``--parallel N``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import time
-from typing import Callable, Dict
 
-from .harness.experiments import (
-    run_clock_skew_sweep,
-    run_commit_wait_ablation,
-    run_fig3,
-    run_fig4a,
-    run_fig4b,
-    run_fig4c,
-    run_fig5,
-    run_fig6,
-    run_lead_time_ablation,
-    run_side_transport_ablation,
-    run_table1,
-    run_table2,
-)
+from .harness.registry import FIGURES, REGISTRY
 
-__all__ = ["main"]
+__all__ = ["main", "EXPERIMENTS"]
 
-
-def _fig3(quick: bool) -> None:
-    scale = dict(clients_per_region=1, ops_per_client=15) if quick else {}
-    run_fig3(**scale).table().print()
-
-
-def _fig4a(quick: bool) -> None:
-    scale = dict(clients_per_region=1, ops_per_client=25) if quick else {}
-    run_fig4a(**scale).table().print()
-
-
-def _fig4b(quick: bool) -> None:
-    scale = dict(clients_per_region=1, ops_per_client=30) if quick else {}
-    run_fig4b(**scale).table().print()
-
-
-def _fig4c(quick: bool) -> None:
-    scale = dict(ops_per_client=25) if quick else {}
-    run_fig4c(**scale).table().print()
-
-
-def _fig5(quick: bool) -> None:
-    scale = (dict(clients_per_region=2, ops_per_client=20,
-                  keys_per_region=40)
-             if quick else dict(clients_per_region=4, ops_per_client=40,
-                                keys_per_region=40))
-    run_fig5(**scale).table().print()
-
-
-def _fig6(quick: bool) -> None:
-    if quick:
-        result = run_fig6(region_counts=(4, 10), txns_per_client=8)
-    else:
-        result = run_fig6()
-    result.table().print()
-
-
-def _table1(_quick: bool) -> None:
-    run_table1().print()
-
-
-def _table2(_quick: bool) -> None:
-    run_table2().table().print()
-
-
-def _ablations(_quick: bool) -> None:
-    run_lead_time_ablation().print()
-    run_commit_wait_ablation().print()
-    run_side_transport_ablation().print()
-
-
-def _clockskew(quick: bool) -> None:
-    scale = dict(n_ops=8) if quick else {}
-    run_clock_skew_sweep(**scale).print()
-
-
-EXPERIMENTS: Dict[str, Callable[[bool], None]] = {
-    "table1": _table1,
-    "fig3": _fig3,
-    "fig4a": _fig4a,
-    "fig4b": _fig4b,
-    "fig4c": _fig4c,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "table2": _table2,
-    "ablations": _ablations,
-    "clockskew": _clockskew,
-}
-
-
-def _chaos_main(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description="Run a nemesis chaos scenario and audit invariants.")
-    parser.add_argument("scenario",
-                        help="scenario name, 'all', or 'list'")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="single seed to run (default 0)")
-    parser.add_argument("--seeds", type=int, default=1, metavar="K",
-                        help="run seeds 0..K-1 instead of --seed")
-    parser.add_argument("--json", action="store_true",
-                        help="emit one machine-readable JSON report for "
-                             "all runs instead of the text rendering")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="farm runs across N worker processes "
-                             "(deterministic merge; per-run text output "
-                             "is summarized)")
-    parser.add_argument("--protocol", default="crdb",
-                        choices=["crdb", "epoch-occ"],
-                        help="transaction backend the scenario's clients "
-                             "run on (default crdb)")
-    args = parser.parse_args(argv)
-
-    from .chaos import SCENARIOS, run_scenario
-
-    protocol = None if args.protocol == "crdb" else args.protocol
-    if args.scenario == "list":
-        for name in sorted(SCENARIOS):
-            print(name)
-        return 0
-    names = sorted(SCENARIOS) if args.scenario == "all" else [args.scenario]
-    for name in names:
-        if name not in SCENARIOS:
-            print(f"unknown scenario {name!r} (try 'list')", file=sys.stderr)
-            return 2
-    if protocol is not None:
-        # The open-loop overload scenarios drive their own harness and
-        # take no protocol override; drop them from 'all' with a note.
-        skipped = [n for n in names if n.startswith("overload")]
-        if skipped:
-            if args.scenario != "all":
-                print(f"{args.scenario!r} does not support --protocol "
-                      f"(open-loop overload harness)", file=sys.stderr)
-                return 2
-            names = [n for n in names if not n.startswith("overload")]
-            print(f"[skipping {', '.join(skipped)}: no protocol override]",
-                  file=sys.stderr)
-    seeds = list(range(args.seeds)) if args.seeds > 1 else [args.seed]
-    if args.parallel > 1:
-        return _farmed_runs("chaos", names, seeds, args.parallel, args.json,
-                            protocol=protocol)
-    violated = False
-    runs = []
-    for name in names:
-        for seed in seeds:
-            start = time.time()
-            result = run_scenario(name, seed, txn_protocol=protocol)
-            if args.json:
-                record = result.to_json()
-                record["wall_s"] = round(time.time() - start, 2)
-                runs.append(record)
-            else:
-                print(result.render())
-                print(f"[{name} seed={seed} finished in "
-                      f"{time.time() - start:.1f}s wall]\n")
-            violated = violated or not result.ok
-    if args.json:
-        print(json.dumps({"ok": not violated, "runs": runs}, indent=2))
-    return 1 if violated else 0
-
-
-def _farmed_runs(kind: str, names, seeds, workers: int, as_json: bool,
-                 protocol=None) -> int:
-    """Shared ``--parallel`` path for the chaos and verify CLIs."""
-    from .harness.farm import (dumps_sweep, merge_results, render_sweep,
-                               run_farm)
-
-    start = time.time()
-    jobs = [{"kind": kind, "scenario": name, "seed": seed}
-            for name in names for seed in seeds]
-    if protocol is not None:
-        for job in jobs:
-            job["protocol"] = protocol
-    doc = merge_results(run_farm(jobs, workers=workers))
-    if as_json:
-        print(dumps_sweep(doc))
-    else:
-        print(f"{kind} sweep: {len(jobs)} runs on {workers} workers")
-        print(render_sweep(doc))
-        print(f"[{time.time() - start:.1f}s wall]")
-    return 0 if doc["ok"] else 1
-
-
-def _verify_main(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro verify",
-        description="Run the randomized transactional workload under a "
-                    "chaos scenario and check the recorded history for "
-                    "isolation/staleness anomalies (Elle-style).")
-    parser.add_argument("--scenario", default="none",
-                        help="chaos scenario name, 'none' (fault-free), "
-                             "'all' (the verify sweep set), 'clock' (the "
-                             "three clock-fault scenarios), or 'list'")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="single seed to run (default 0)")
-    parser.add_argument("--seeds", type=int, default=1, metavar="K",
-                        help="run seeds 0..K-1 instead of --seed")
-    parser.add_argument("--json", action="store_true",
-                        help="emit one machine-readable JSON report for "
-                             "all runs instead of the text rendering")
-    parser.add_argument("--dump", metavar="FILE", default=None,
-                        help="write the recorded history of the first "
-                             "anomalous run (or, if clean, the last run) "
-                             "to FILE for offline re-checking")
-    parser.add_argument("--check", metavar="FILE", default=None,
-                        help="re-check a dumped history file instead of "
-                             "running a workload (byte-identical report)")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="farm runs across N worker processes "
-                             "(deterministic merge; incompatible with "
-                             "--dump)")
-    parser.add_argument("--protocol", default="crdb",
-                        choices=["crdb", "epoch-occ"],
-                        help="transaction backend the workload runs on; "
-                             "with epoch-occ, --scenario all means the "
-                             "differential OCC sweep set (default crdb)")
-    args = parser.parse_args(argv)
-
-    from .verify import (OCC_ABLATION_SCENARIO, OCC_SWEEP_SCENARIOS,
-                         VERIFY_SCENARIOS, VerifyHistory, check, run_verify)
-    from .verify.generator import CLOCK_SCENARIOS
-
-    if args.check is not None:
-        history = VerifyHistory.load(args.check)
-        report = check(history)
-        print(report.dumps() if args.json else report.render())
-        return 0 if report.ok else 1
-
-    protocol = None if args.protocol == "crdb" else args.protocol
-    if args.scenario == "list":
-        for name in ["none"] + VERIFY_SCENARIOS + [OCC_ABLATION_SCENARIO]:
-            print(name)
-        return 0
-    names = ((OCC_SWEEP_SCENARIOS if protocol == "epoch-occ"
-              else VERIFY_SCENARIOS) if args.scenario == "all"
-             else list(CLOCK_SCENARIOS) if args.scenario == "clock"
-             else [args.scenario])
-    valid = set(VERIFY_SCENARIOS) | {"none", OCC_ABLATION_SCENARIO}
-    for name in names:
-        if name not in valid:
-            print(f"unknown scenario {name!r} (try 'list')",
-                  file=sys.stderr)
-            return 2
-    seeds = list(range(args.seeds)) if args.seeds > 1 else [args.seed]
-    if args.parallel > 1:
-        if args.dump:
-            print("--parallel cannot dump histories (workers are "
-                  "shared-nothing); rerun the offending seed alone",
-                  file=sys.stderr)
-            return 2
-        return _farmed_runs("verify", names, seeds, args.parallel,
-                            args.json, protocol=protocol)
-    violated = False
-    dumped = False
-    runs = []
-    for name in names:
-        for seed in seeds:
-            start = time.time()
-            result = run_verify(name, seed, protocol=protocol)
-            if args.json:
-                record = result.to_json()
-                record["wall_s"] = round(time.time() - start, 2)
-                runs.append(record)
-            else:
-                print(result.render())
-                print(f"[{name} seed={seed} finished in "
-                      f"{time.time() - start:.1f}s wall]\n")
-            if args.dump and not dumped:
-                # The file holds the first anomalous history (or, with
-                # everything clean so far, the most recent clean run).
-                result.history.dump(args.dump)
-                dumped = not result.ok
-            violated = violated or not result.ok
-    if args.json:
-        print(json.dumps({"ok": not violated, "runs": runs}, indent=2))
-    return 1 if violated else 0
-
-
-REPAIR_SCENARIOS = ("kill-node-repair", "region-loss-repair")
-
-
-def _repair_main(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro repair",
-        description="Run the self-healing scenarios and report store "
-                    "liveness, repair actions, and time-to-repair.")
-    parser.add_argument("--scenario", default=None,
-                        choices=list(REPAIR_SCENARIOS),
-                        help="run only this repair scenario (default both)")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    from .chaos import run_scenario
-    from .metrics.histogram import Summary
-
-    names = [args.scenario] if args.scenario else list(REPAIR_SCENARIOS)
-    violated = False
-    for name in names:
-        result = run_scenario(name, args.seed)
-        harness = result.harness
-        liveness = harness.liveness
-        metrics = harness.repair_queue.metrics
-        guard = harness.range.group.config_guard
-        print(f"repair scenario {name!r} (seed={args.seed}) — "
-              f"{result.duration_ms:.0f}ms sim")
-        print("  liveness transitions:")
-        if liveness.transitions:
-            for when, node_id, old, new in liveness.transitions:
-                print(f"    t={when:8.1f}ms  n{node_id}: {old} -> {new}")
-        else:
-            print("    (none)")
-        print("  repair actions:")
-        for kind in sorted(set(metrics.actions) | set(metrics.failures)):
-            done = metrics.actions.get(kind, 0)
-            failed = metrics.failures.get(kind, 0)
-            print(f"    {kind:28s} done={done} failed={failed}")
-        if not metrics.actions and not metrics.failures:
-            print("    (none)")
-        ttr = Summary(metrics.time_to_repair_ms)
-        print(f"  time-to-repair: n={ttr.count} p50={ttr.p50:.0f}ms "
-              f"max={ttr.max:.0f}ms (detection-to-healthy, scan-quantized)")
-        print(f"  scans={metrics.scans} "
-              f"under-replicated={metrics.under_replicated_ranges} "
-              f"config-changes={guard.changes} "
-              f"max-inflight-changes={guard.max_inflight}")
-        verdict = "OK" if result.ok else "INVARIANT VIOLATIONS"
-        print("  invariants:")
-        print(result.report.render())
-        print(f"  => {verdict}\n")
-        violated = violated or not result.ok
-    return 1 if violated else 0
-
-
-def _rebalance_main(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro rebalance",
-        description="Run the elastic-keyspace experiment: a seeded hot "
-                    "workload drives size/load splits, a follow-the-"
-                    "workload lease move, and cold merges back to one "
-                    "range — checked against committed per-seed golden "
-                    "fingerprints (REBALANCE_golden.json), including a "
-                    "legacy run that proves fixed-range behaviour is "
-                    "untouched when elasticity is disabled.")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="single seed to run (default: the golden "
-                             "set 0,1,2)")
-    parser.add_argument("--seeds", type=int, default=None, metavar="K",
-                        help="run seeds 0..K-1")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the machine-readable suite document")
-    parser.add_argument("--update-golden", action="store_true",
-                        help="promote this run's fingerprints to the "
-                             "committed golden file")
-    parser.add_argument("--no-golden", action="store_true",
-                        help="skip the golden-fingerprint comparison "
-                             "(gates still apply)")
-    args = parser.parse_args(argv)
-
-    from .harness.rebalance import (GOLDEN_SEEDS, check_rebalance_golden,
-                                    render_rebalance, run_rebalance_suite,
-                                    update_rebalance_golden)
-
-    if args.seeds is not None:
-        seeds = list(range(args.seeds))
-    elif args.seed is not None:
-        seeds = [args.seed]
-    else:
-        seeds = list(GOLDEN_SEEDS)
-    suite = run_rebalance_suite(seeds)
-    failures = []
-    if args.update_golden:
-        update_rebalance_golden(suite)
-    elif not args.no_golden:
-        failures = check_rebalance_golden(suite)
-    if args.json:
-        suite["golden_failures"] = failures
-        print(json.dumps(suite, indent=2, sort_keys=True))
-    else:
-        for seed in seeds:
-            entry = suite["runs"][str(seed)]
-            print(render_rebalance(entry["elastic"]))
-            print(render_rebalance(entry["legacy"]))
-            print()
-        if args.update_golden:
-            print("golden fingerprints updated")
-        elif failures:
-            print("GOLDEN FINGERPRINT MISMATCHES:")
-            for failure in failures:
-                print(f"  {failure}")
-        elif not args.no_golden:
-            print("fingerprints match committed golden")
-    return 0 if suite["ok"] and not failures else 1
-
-
-def _protocols_main(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro protocols",
-        description="Run the transaction-protocol head-to-head: both "
-                    "TxnProtocol backends (crdb, epoch-occ) drive the "
-                    "same seeded contended workload on the same cluster "
-                    "build with a partition-leaseholder nemesis mid-run, "
-                    "reporting p50/p99 commit latency, abort rates, and "
-                    "the commit-wait vs epoch-wait breakdown — checked "
-                    "against committed per-(protocol, seed) golden "
-                    "fingerprints (PROTOCOLS_golden.json).")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="single seed to run (default: the golden "
-                             "set 0,1,2)")
-    parser.add_argument("--seeds", type=int, default=None, metavar="K",
-                        help="run seeds 0..K-1")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the machine-readable suite document")
-    parser.add_argument("--update-golden", action="store_true",
-                        help="promote this run's fingerprints to the "
-                             "committed golden file")
-    parser.add_argument("--no-golden", action="store_true",
-                        help="skip the golden-fingerprint comparison "
-                             "(the counter audit still applies)")
-    args = parser.parse_args(argv)
-
-    from .harness.protocols import (GOLDEN_SEEDS, check_protocols_golden,
-                                    render_protocols, run_protocols_suite,
-                                    update_protocols_golden)
-
-    if args.seeds is not None:
-        seeds = list(range(args.seeds))
-    elif args.seed is not None:
-        seeds = [args.seed]
-    else:
-        seeds = list(GOLDEN_SEEDS)
-    suite = run_protocols_suite(seeds)
-    failures = []
-    if args.update_golden:
-        update_protocols_golden(suite)
-    elif not args.no_golden:
-        failures = check_protocols_golden(suite)
-    if args.json:
-        suite["golden_failures"] = failures
-        print(json.dumps(suite, indent=2, sort_keys=True))
-    else:
-        print(render_protocols(suite))
-        if args.update_golden:
-            print("golden fingerprints updated")
-        elif failures:
-            print("GOLDEN FINGERPRINT MISMATCHES:")
-            for failure in failures:
-                print(f"  {failure}")
-        elif not args.no_golden:
-            print("fingerprints match committed golden")
-    return 0 if suite["ok"] and not failures else 1
-
-
-def _observed_run(args):
-    """Run the workload or scenario named by ``args``; returns
-    (title, Observability) with the run's spans and metrics attached."""
-    if args.scenario is not None:
-        from .chaos import SCENARIOS, run_scenario
-        if args.scenario not in SCENARIOS:
-            raise SystemExit(
-                f"unknown scenario {args.scenario!r} "
-                f"(try: {', '.join(sorted(SCENARIOS))})")
-        result = run_scenario(args.scenario, args.seed)
-        return f"chaos scenario {args.scenario!r}", result.harness.sim.obs
-    from .harness.tracing import run_traced_workload
-    engine = run_traced_workload(args.workload, seed=args.seed)
-    return f"workload {args.workload!r}", engine.cluster.sim.obs
-
-
-def _run_parser(prog: str, description: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=prog, description=description)
-    parser.add_argument("--workload", default="movr",
-                        choices=["movr", "kv"],
-                        help="traced workload to run (default movr)")
-    parser.add_argument("--scenario", default=None, metavar="NAME",
-                        help="observe a chaos scenario instead of a "
-                             "workload")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON")
-    return parser
-
-
-def _trace_main(argv) -> int:
-    parser = _run_parser(
-        "python -m repro trace",
-        "Run a deterministic workload (or chaos scenario) and render "
-        "its span tree, critical path, and commit-wait breakdown.")
-    args = parser.parse_args(argv)
-
-    from .obs import (containment_violations, critical_path, render_tree,
-                      spans_named)
-
-    title, obs = _observed_run(args)
-    tracer = obs.tracer
-    if args.json:
-        print(tracer.to_json())
-        return 0
-    roots = tracer.roots
-    print(f"trace for {title} (seed={args.seed}) — "
-          f"{len(roots)} root spans")
-    for root in roots:
-        print(render_tree(root))
-
-    slowest = max(roots, key=lambda r: (r.duration_ms, -r.span_id))
-    print(f"critical path (slowest root, "
-          f"{slowest.duration_ms:.3f}ms total):")
-    for span in critical_path(slowest):
-        print(f"  {span.name} #{span.span_id} {span.duration_ms:.3f}ms")
-
-    waits = [s for r in roots for s in spans_named(r, "txn.commit_wait")]
-    txns = [s for r in roots for s in spans_named(r, "txn")]
-    print("commit-wait breakdown:")
-    if waits:
-        total_wait = sum(s.duration_ms for s in waits)
-        total_txn = sum(s.duration_ms for s in txns)
-        for span in waits:
-            txn_root = span.root()
-            share = (100.0 * span.duration_ms / txn_root.duration_ms
-                     if txn_root.duration_ms else 0.0)
-            print(f"  txn {span.tags.get('txn_id')}: waited "
-                  f"{span.duration_ms:.3f}ms "
-                  f"({share:.0f}% of its root span)")
-        print(f"  total: {total_wait:.3f}ms commit wait across "
-              f"{total_txn:.3f}ms of transaction time")
-    else:
-        print("  (no commit waits)")
-
-    violations = [v for r in roots for v in containment_violations(r)]
-    if violations:
-        print(f"containment warnings ({len(violations)}):")
-        for violation in violations:
-            print(f"  {violation}")
-    return 0
-
-
-def _metrics_main(argv) -> int:
-    parser = _run_parser(
-        "python -m repro metrics",
-        "Run a deterministic workload (or chaos scenario) and print "
-        "the unified metrics registry snapshot.")
-    parser.add_argument("--prefix", default=None, metavar="NAME",
-                        help="only instruments whose name starts here "
-                             "(e.g. 'raft.' or 'txn.')")
-    args = parser.parse_args(argv)
-
-    title, obs = _observed_run(args)
-    registry = obs.registry
-    if args.json:
-        snapshot = registry.snapshot()
-        if args.prefix:
-            snapshot = {
-                kind: {key: value for key, value in table.items()
-                       if key.startswith(args.prefix)}
-                for kind, table in snapshot.items()}
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-        return 0
-    print(f"metrics for {title} (seed={args.seed})")
-    print(registry.render(prefix=args.prefix))
-    return 0
-
-
-def _bench_main(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench",
-        description="Run the fixed-seed engine benchmarks and print "
-                    "events/sec, wall-clock, and peak allocation. Use "
-                    "scripts/bench.py to maintain BENCH_results.json.")
-    parser.add_argument("--workload", default=None,
-                        choices=["kv", "movr", "tpcc"],
-                        help="run only this workload (default: all)")
-    parser.add_argument("--obs", default=None, choices=["full", "off"],
-                        help="run only this obs mode (default: both)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="op-count multiplier (default 1.0)")
-    parser.add_argument("--alloc", action="store_true",
-                        help="add a tracemalloc pass reporting "
-                             "peak_alloc_kb/alloc_count (separate run; "
-                             "never taints the timed pass)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON rows")
-    args = parser.parse_args(argv)
-
-    from .harness.bench import BENCH_WORKLOADS, bench_suite, render_rows
-
-    workloads = [args.workload] if args.workload else list(BENCH_WORKLOADS)
-    obs_modes = [args.obs] if args.obs else ["full", "off"]
-    rows = bench_suite(workloads, seed=args.seed, obs_modes=obs_modes,
-                       scale=args.scale,
-                       measure_allocs=args.alloc,
-                       log=None if args.json else print)
-    if args.json:
-        print(json.dumps(rows, indent=2, sort_keys=True))
-    else:
-        print(render_rows(rows))
-    return 0
-
-
-def _scale_main(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro scale",
-        description="Open-loop saturation sweep: deterministic users vs "
-                    "p50/p99/goodput curves with admission control on, "
-                    "plus the congestion-collapse baseline with the "
-                    "protections off.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="simulation seed (default 0)")
-    parser.add_argument("--seeds", type=int, default=None, metavar="K",
-                        help="run seeds 0..K-1 (quick curves, farmable "
-                             "with --parallel) instead of one full curve")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="with --seeds: farm the per-seed curves "
-                             "across N worker processes")
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced sweep (1x and 4x only, shorter "
-                             "arrival window)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the machine-readable document instead "
-                             "of the table")
-    parser.add_argument("--smoke", action="store_true",
-                        help="quick sweep + regression gate against the "
-                             "committed SCALE_results.json baseline "
-                             "(exit 1 on >25%% goodput/p99 regression or "
-                             "a failed graceful-degradation gate)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="with --smoke: promote the fresh run to be "
-                             "the committed baseline")
-    args = parser.parse_args(argv)
-
-    from .harness.scale import (RESULTS_PATH, check_scale_regression,
-                                render_scale, run_scale)
-
-    if args.seeds is not None:
-        from .harness.farm import dumps_sweep, merge_results, run_farm
-        jobs = [{"kind": "scale", "seed": seed, "quick": True}
-                for seed in range(args.seeds)]
-        merged = merge_results(run_farm(jobs, workers=args.parallel))
-        if args.json:
-            print(dumps_sweep(merged))
-        else:
-            for run in merged["runs"]:
-                print(render_scale(run["report"]))
-                print()
-            print(f"=> {merged['total']} seeds, "
-                  + ("all gates ok" if merged["ok"]
-                     else "GATE FAILURES: " + ", ".join(merged["failed"])))
-        return 0 if merged["ok"] else 1
-
-    doc = run_scale(seed=args.seed, quick=args.quick or args.smoke)
-    if not args.smoke:
-        print(json.dumps(doc, indent=2) if args.json else render_scale(doc))
-        return 0 if doc["gates"]["ok"] else 1
-
-    stored = {}
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH) as fh:
-            stored = json.load(fh)
-    failures = check_scale_regression(doc, stored.get("smoke", {}))
-    stored["smoke_latest"] = doc
-    if args.update_baseline or "smoke" not in stored:
-        stored["smoke"] = doc
-        print("scale smoke baseline updated")
-    with open(RESULTS_PATH, "w") as fh:
-        json.dump(stored, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(render_scale(doc))
-    if failures:
-        print("\nREGRESSION vs committed baseline:")
-        for failure in failures:
-            print(f"  {failure}")
-        return 1
-    print("\nno regression vs committed baseline (tolerance 25%)")
-    return 0
-
-
-def _sweep_main(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro sweep",
-        description="Fan seeds x scenarios x configs across worker "
-                    "processes and merge the chaos/verify/scale reports "
-                    "into one deterministic document (byte-identical "
-                    "regardless of worker count).")
-    parser.add_argument("--kinds", default="chaos,verify",
-                        help="comma-separated subset of chaos,verify,"
-                             "scale (default chaos,verify)")
-    parser.add_argument("--scenarios", default=None, metavar="NAMES",
-                        help="comma-separated scenario names (default: "
-                             "every scenario of each kind)")
-    parser.add_argument("--seeds", type=int, default=1, metavar="K",
-                        help="run seeds 0..K-1 (default 1)")
-    parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="worker processes (default: one per core, "
-                             "capped at 8; 1 forces sequential)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the merged machine-readable document")
-    parser.add_argument("--out", metavar="FILE", default=None,
-                        help="also write the merged document to FILE")
-    args = parser.parse_args(argv)
-
-    from .harness.farm import (SWEEP_KINDS, default_workers, dumps_sweep,
-                               merge_results, render_sweep, run_farm,
-                               sweep_jobs)
-
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    for kind in kinds:
-        if kind not in SWEEP_KINDS:
-            print(f"unknown sweep kind {kind!r} "
-                  f"(valid: {', '.join(SWEEP_KINDS)})", file=sys.stderr)
-            return 2
-    scenarios = (None if args.scenarios is None else
-                 [s.strip() for s in args.scenarios.split(",") if s.strip()])
-    start = time.time()
-    jobs = sweep_jobs(kinds, scenarios, range(max(1, args.seeds)))
-    if not jobs:
-        print("no jobs matched the requested kinds/scenarios",
-              file=sys.stderr)
-        return 2
-    workers = default_workers(args.parallel)
-    doc = merge_results(run_farm(jobs, workers=workers))
-    serialized = dumps_sweep(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(serialized)
-            fh.write("\n")
-    if args.json:
-        print(serialized)
-    else:
-        print(f"sweep: {len(jobs)} runs on {workers} workers")
-        print(render_sweep(doc))
-        print(f"[{time.time() - start:.1f}s wall]")
-    return 0 if doc["ok"] else 1
+#: The paper's figure and table experiments, by name.
+EXPERIMENTS = {exp.name: exp for exp in FIGURES}
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "sweep":
-        return _sweep_main(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench_main(argv[1:])
-    if argv and argv[0] == "scale":
-        return _scale_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        return _chaos_main(argv[1:])
-    if argv and argv[0] == "verify":
-        return _verify_main(argv[1:])
-    if argv and argv[0] == "repair":
-        return _repair_main(argv[1:])
-    if argv and argv[0] == "rebalance":
-        return _rebalance_main(argv[1:])
-    if argv and argv[0] == "protocols":
-        return _protocols_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return _trace_main(argv[1:])
-    if argv and argv[0] == "metrics":
-        return _metrics_main(argv[1:])
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = REGISTRY.get(argv[0]) if argv else None
+    if command is not None and command.main is not None:
+        return command.main(command, command.parser().parse_args(argv[1:]))
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the paper's evaluation tables and figures.")
@@ -808,15 +44,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
-        for name in sorted(EXPERIMENTS):
-            print(name)
+        print("\n".join(sorted(EXPERIMENTS)))
         return 0
-
     names = (sorted(EXPERIMENTS) if args.experiment == "all"
              else [args.experiment])
     for name in names:
         start = time.time()
-        EXPERIMENTS[name](args.quick)
+        for table in EXPERIMENTS[name].run(args.quick):
+            table.print()
         print(f"\n[{name} finished in {time.time() - start:.1f}s wall]")
     return 0
 

@@ -1,10 +1,12 @@
 """Process-parallel sweep farm: seeds x scenarios x configs.
 
-Every chaos, verify, and scale run is deterministic from its (kind,
-scenario, seed, config) coordinates and shares nothing with its
+Every chaos, verify, scale, and bench run is deterministic from its
+(kind, scenario, seed, config) coordinates and shares nothing with its
 siblings, so a sweep is embarrassingly parallel.  This module fans a
 job list across ``multiprocessing`` workers and merges the results
-into one deterministic document.
+into one deterministic document.  A job's kind names its entry in
+:mod:`repro.harness.registry`, which expands sweeps into jobs and runs
+each one.
 
 Design constraints, in priority order:
 
@@ -31,18 +33,15 @@ import multiprocessing
 import os
 from typing import Any, Dict, Iterable, List, Optional
 
+from .registry import REGISTRY
+
 __all__ = ["run_job", "run_farm", "merge_results", "sweep_jobs",
-           "run_sweep", "render_sweep", "dumps_sweep", "default_workers",
+           "render_sweep", "dumps_sweep", "default_workers",
            "SWEEP_KINDS"]
 
-SWEEP_KINDS = ("chaos", "verify", "scale", "bench")
-
-#: The deterministic subset of a bench row: wall-clock-derived fields
-#: (wall_s, events_per_sec) and allocation counters vary run to run
-#: and are excluded from farm output by construction.
-_BENCH_DETERMINISTIC_KEYS = ("workload", "seed", "obs", "scale", "ops",
-                             "sim_ms", "events", "latency_p50_ms",
-                             "latency_p99_ms")
+#: The registry entries the farm can run, in registry order.
+SWEEP_KINDS = tuple(name for name, exp in REGISTRY.items()
+                    if exp.job is not None)
 
 #: Keys scrubbed from worker results before merging: anything here is
 #: nondeterministic (wall clock, process identity) and would break the
@@ -57,52 +56,29 @@ def default_workers(requested: Optional[int] = None) -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
+def _kind(kind: str):
+    exp = REGISTRY.get(kind)
+    if exp is None or exp.job is None:
+        raise ValueError(f"unknown sweep kind {kind!r} "
+                         f"(valid: {', '.join(SWEEP_KINDS)})")
+    return exp
+
+
 def run_job(job: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one sweep job; returns a JSON-ready record.
+    """Execute one sweep job through its registry entry; returns a
+    JSON-ready record.
 
     Top-level (not nested, not a lambda) so spawn workers can unpickle
-    a reference to it.  Imports are deferred so a worker only pays for
-    the subsystem its job actually needs.
+    a reference to it.
     """
-    kind = job["kind"]
+    exp = _kind(job["kind"])
+    scenario, ok, report = exp.job(exp, job)
+    record = {"kind": job["kind"], "scenario": scenario,
+              "seed": job["seed"], "ok": bool(ok), "report": report}
     # Optional transaction-protocol override (the protocol-matrix CLI
     # paths); absent for legacy jobs, keeping their records identical.
-    protocol = job.get("protocol")
-    if kind == "chaos":
-        from ..chaos import run_scenario
-        result = run_scenario(job["scenario"], job["seed"],
-                              txn_protocol=protocol)
-        record = {"kind": kind, "scenario": job["scenario"],
-                  "seed": job["seed"], "ok": bool(result.ok),
-                  "report": result.to_json()}
-    elif kind == "verify":
-        from ..verify import run_verify
-        result = run_verify(job["scenario"], job["seed"],
-                            protocol=protocol)
-        record = {"kind": kind, "scenario": job["scenario"],
-                  "seed": job["seed"], "ok": bool(result.ok),
-                  "report": result.to_json()}
-    elif kind == "scale":
-        from .scale import run_scale
-        doc = run_scale(seed=job["seed"], quick=job.get("quick", True))
-        record = {"kind": kind, "scenario": "scale-curve",
-                  "seed": job["seed"], "ok": bool(doc["gates"]["ok"]),
-                  "report": doc}
-    elif kind == "bench":
-        from .bench import run_bench
-        obs = job.get("obs", "full")
-        row = run_bench(job["workload"], seed=job["seed"], obs=obs,
-                        scale=job.get("scale", 0.25),
-                        measure_allocs=False, repeats=1)
-        record = {"kind": kind,
-                  "scenario": f"{job['workload']}/obs-{obs}",
-                  "seed": job["seed"], "ok": True,
-                  "report": {key: row[key]
-                             for key in _BENCH_DETERMINISTIC_KEYS}}
-    else:
-        raise ValueError(f"unknown sweep job kind {kind!r}")
-    if protocol is not None:
-        record["protocol"] = protocol
+    if job.get("protocol") is not None:
+        record["protocol"] = job["protocol"]
     return _scrub(record)
 
 
@@ -156,47 +132,9 @@ def sweep_jobs(kinds: Iterable[str], scenarios: Optional[List[str]],
     chaos registry, the verify sweep set, and (for scale, which has no
     scenario axis) one curve per seed.
     """
-    jobs: List[Dict[str, Any]] = []
     seeds = list(seeds)
-    for kind in kinds:
-        if kind == "chaos":
-            from ..chaos import SCENARIOS
-            names = (sorted(SCENARIOS) if scenarios is None
-                     else [s for s in scenarios if s in SCENARIOS])
-            jobs.extend({"kind": "chaos", "scenario": name, "seed": seed}
-                        for name in names for seed in seeds)
-        elif kind == "verify":
-            from ..verify import VERIFY_SCENARIOS
-            valid = set(VERIFY_SCENARIOS) | {"none"}
-            names = (list(VERIFY_SCENARIOS) if scenarios is None
-                     else [s for s in scenarios if s in valid])
-            jobs.extend({"kind": "verify", "scenario": name, "seed": seed}
-                        for name in names for seed in seeds)
-        elif kind == "scale":
-            jobs.extend({"kind": "scale", "seed": seed, "quick": quick}
-                        for seed in seeds)
-        elif kind == "bench":
-            from .bench import BENCH_WORKLOADS
-            names = (list(BENCH_WORKLOADS) if scenarios is None
-                     else [s for s in scenarios if s in BENCH_WORKLOADS])
-            jobs.extend({"kind": "bench", "workload": name, "seed": seed,
-                         "obs": obs}
-                        for name in names for seed in seeds
-                        for obs in ("full", "off"))
-        else:
-            raise ValueError(f"unknown sweep kind {kind!r} "
-                             f"(valid: {', '.join(SWEEP_KINDS)})")
-    return jobs
-
-
-def run_sweep(kinds: Iterable[str] = ("chaos", "verify"),
-              scenarios: Optional[List[str]] = None,
-              seeds: Iterable[int] = (0,),
-              workers: Optional[int] = None,
-              quick: bool = True) -> Dict[str, Any]:
-    """Build, farm, and merge a sweep; the one-call API behind the CLI."""
-    jobs = sweep_jobs(kinds, scenarios, seeds, quick=quick)
-    return merge_results(run_farm(jobs, workers=workers))
+    return [job for kind in kinds
+            for job in _kind(kind).jobs(scenarios, seeds, quick)]
 
 
 def render_sweep(doc: Dict[str, Any]) -> str:

@@ -24,17 +24,15 @@ window or the suite fails regardless of goldens.
 
 ``PROTOCOLS_golden.json`` at the repo root pins per-(protocol, seed)
 fingerprints for seeds {0, 1, 2}; ``python -m repro protocols``
-re-runs and compares, so behavioural drift in either backend shows up
-as a fingerprint mismatch.
+re-runs and compares through :mod:`repro.goldens`, so behavioural
+drift in either backend shows up as a fingerprint mismatch.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import random
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List
 
 from ..chaos.scenarios import RETRYABLE
 from ..cluster import standard_cluster
@@ -45,14 +43,8 @@ from ..sim.core import all_of
 from ..txn import TransactionCoordinator, resolve_protocol
 
 __all__ = ["run_protocol_run", "run_protocols_suite", "render_protocols",
-           "check_protocols_golden", "update_protocols_golden",
-           "GOLDEN_PATH", "GOLDEN_SEEDS", "PROTOCOLS"]
+           "PROTOCOLS"]
 
-GOLDEN_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))),
-    "PROTOCOLS_golden.json")
-GOLDEN_SEEDS = (0, 1, 2)
 PROTOCOLS = ("crdb", "epoch-occ")
 
 REGIONS = ("us-east1", "europe-west2", "asia-northeast1")
@@ -264,40 +256,6 @@ def run_protocols_suite(seeds) -> Dict:
     return {"ok": ok, "seeds": list(seeds), "runs": runs,
             "fingerprints": {name: fingerprint(doc)
                              for name, doc in runs.items()}}
-
-
-def check_protocols_golden(suite: Dict,
-                           path: str = GOLDEN_PATH) -> List[str]:
-    """Compare the suite's fingerprints against the committed golden."""
-    if not os.path.exists(path):
-        return [f"no golden file at {path} "
-                f"(run with --update-golden to create it)"]
-    with open(path) as fh:
-        golden = json.load(fh)
-    failures: List[str] = []
-    for name, fp in suite["fingerprints"].items():
-        want = golden.get("fingerprints", {}).get(name)
-        if want is None:
-            failures.append(f"{name}: no golden entry")
-            continue
-        for field, value in fp.items():
-            expected = want.get(field)
-            if expected != value:
-                failures.append(f"{name}: {field} = {value!r}, "
-                                f"golden {expected!r}")
-    return failures
-
-
-def update_protocols_golden(suite: Dict, path: str = GOLDEN_PATH) -> None:
-    """Promote this run's fingerprints, merging over existing entries."""
-    golden = {"fingerprints": {}}
-    if os.path.exists(path):
-        with open(path) as fh:
-            golden = json.load(fh)
-    golden.setdefault("fingerprints", {}).update(suite["fingerprints"])
-    with open(path, "w") as fh:
-        json.dump(golden, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def render_protocols(suite: Dict) -> str:

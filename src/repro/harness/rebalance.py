@@ -14,35 +14,30 @@ One elastic span on a three-region cluster runs through three phases:
 
 Everything is deterministic from the seed.  ``REBALANCE_golden.json``
 at the repo root pins per-seed fingerprints for seeds {0, 1, 2}; the
-CLI re-runs and compares, so any behavioural drift in splits, merges,
-routing, or rebalancing shows up as a fingerprint mismatch.  Each seed
-is also run in **legacy** mode — the same workload against a plain
-fixed range with elasticity disabled — whose fingerprint covers the
-full metrics snapshot: the elastic machinery must leave fault-free
-legacy runs byte-identical (no new instruments, no new events).
+CLI re-runs and compares through :mod:`repro.goldens`, so any
+behavioural drift in splits, merges, routing, or rebalancing shows up
+as a fingerprint mismatch.  Each seed is also run in **legacy** mode —
+the same workload against a plain fixed range with elasticity
+disabled — whose fingerprint covers the full metrics snapshot: the
+elastic machinery must leave fault-free legacy runs byte-identical (no
+new instruments, no new events).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import zlib
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
+from ..chaos.scenarios import RETRYABLE
 from ..cluster import StoreLiveness, standard_cluster
+from ..errors import AmbiguousCommitError
 from ..placement import RebalanceQueue, ZoneConfig, provision_range
 from ..txn import TransactionCoordinator
 
-__all__ = ["run_rebalance", "run_rebalance_suite", "render_rebalance",
-           "check_rebalance_golden", "GOLDEN_PATH", "GOLDEN_SEEDS"]
-
-GOLDEN_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))),
-    "REBALANCE_golden.json")
-GOLDEN_SEEDS = (0, 1, 2)
+__all__ = ["run_rebalance", "run_rebalance_suite", "render_rebalance"]
 
 REGIONS = ("us-east1", "europe-west2", "asia-northeast1")
 HOME = "us-east1"
@@ -131,7 +126,7 @@ class _RebalanceRun:
             try:
                 yield from self.coordinator.run(gateway, txn_fn)
                 self.committed += 1
-            except Exception:
+            except (AmbiguousCommitError,) + RETRYABLE:
                 self.failed += 1
             yield self.sim.sleep(prng.uniform(*think))
         return None
@@ -320,46 +315,6 @@ def run_rebalance_suite(seeds) -> Dict:
              and entry["legacy"]["gates"]["ok"]
              for entry in runs.values())
     return {"ok": ok, "runs": runs}
-
-
-def check_rebalance_golden(suite: Dict,
-                           golden: Optional[Dict] = None) -> List[str]:
-    """Compare a fresh suite's fingerprints against the committed golden."""
-    if golden is None:
-        if not os.path.exists(GOLDEN_PATH):
-            return [f"no golden file at {GOLDEN_PATH} "
-                    f"(run with --update-golden)"]
-        with open(GOLDEN_PATH) as fh:
-            golden = json.load(fh)
-    failures: List[str] = []
-    for seed, entry in sorted(suite["runs"].items()):
-        pinned = golden.get("seeds", {}).get(seed)
-        if pinned is None:
-            failures.append(f"seed {seed}: no golden fingerprint")
-            continue
-        for mode in ("elastic", "legacy"):
-            fresh = entry["fingerprints"][mode]
-            want = pinned.get(mode, {})
-            for field in sorted(set(fresh) | set(want)):
-                if fresh.get(field) != want.get(field):
-                    failures.append(
-                        f"seed {seed} {mode}: {field} = "
-                        f"{fresh.get(field)!r}, golden "
-                        f"{want.get(field)!r}")
-    return failures
-
-
-def update_rebalance_golden(suite: Dict) -> None:
-    golden = {"seeds": {}}
-    if os.path.exists(GOLDEN_PATH):
-        with open(GOLDEN_PATH) as fh:
-            golden = json.load(fh)
-        golden.setdefault("seeds", {})
-    for seed, entry in suite["runs"].items():
-        golden["seeds"][seed] = entry["fingerprints"]
-    with open(GOLDEN_PATH, "w") as fh:
-        json.dump(golden, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def render_rebalance(doc: Dict) -> str:

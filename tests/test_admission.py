@@ -15,6 +15,7 @@ import pathlib
 
 import pytest
 
+from repro import goldens
 from repro.admission import (
     AdmissionConfig,
     AdmissionQueue,
@@ -349,26 +350,14 @@ def overload_fingerprint(seed):
     return {"seed": seed, **result.fingerprint()}
 
 
-def regen_goldens():
-    """Rewrite the overload determinism goldens.  Run as
-    ``PYTHONPATH=src python -c "from tests.test_admission import
-    regen_goldens; regen_goldens()"`` from the repo root after an
-    *intentional* behaviour change, and commit the diff with it."""
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for seed in GOLDEN_SEEDS:
-        path = GOLDEN_DIR / f"overload_seed{seed}.json"
-        path.write_text(json.dumps(overload_fingerprint(seed), indent=2)
-                        + "\n")
-
-
 class TestOverloadDeterminism:
     @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
     def test_fingerprint_matches_golden(self, seed):
-        golden = json.loads(
-            (GOLDEN_DIR / f"overload_seed{seed}.json").read_text())
-        assert overload_fingerprint(seed) == golden, (
-            "overload fingerprint drifted; if the behaviour change is "
-            "intentional, regenerate with test_admission.regen_goldens()")
+        failures = goldens.check(GOLDEN_DIR / f"overload_seed{seed}.json",
+                                 overload_fingerprint(seed))
+        assert not failures, (
+            f"overload fingerprint drifted: {failures}; if the behaviour "
+            f"change is intentional, rerun with REPRO_UPDATE_GOLDENS=1")
 
     def test_obs_off_is_behavior_identical(self):
         with_obs = OpenLoopHarness(OpenLoopConfig(

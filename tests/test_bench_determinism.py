@@ -10,14 +10,16 @@ PRs, and both are pinned here:
   same events.  The goldens in ``tests/goldens/`` freeze event counts,
   simulated time, op counts and latency percentiles; any engine change
   that shifts them is changing *behaviour*, not just speed, and must
-  regenerate the goldens deliberately (see :func:`regen_goldens`).
+  regenerate the goldens deliberately: rerun with
+  ``REPRO_UPDATE_GOLDENS=1`` (see :mod:`repro.goldens`) and commit the
+  diff.
 """
 
-import json
 import pathlib
 
 import pytest
 
+from repro import goldens
 from repro.harness.bench import _execute
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
@@ -64,19 +66,6 @@ def run_fingerprint(workload, seed, scale):
     }
 
 
-def regen_goldens():
-    """Rewrite every golden snapshot from the current engine.  Run as
-    ``PYTHONPATH=src python -c "from tests.test_bench_determinism import
-    regen_goldens; regen_goldens()"`` from the repo root after an
-    *intentional* behaviour change, and commit the diff with it."""
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for workload, seed, scale in GOLDEN_CONFIGS:
-        path = GOLDEN_DIR / f"{workload}_seed{seed}.json"
-        path.write_text(
-            json.dumps(run_fingerprint(workload, seed, scale), indent=2)
-            + "\n")
-
-
 class TestObsEquivalence:
     """Observability off must change nothing but wall-clock."""
 
@@ -105,12 +94,11 @@ class TestGoldenSnapshots:
     @pytest.mark.parametrize("workload,seed,scale", GOLDEN_CONFIGS)
     def test_matches_golden(self, workload, seed, scale):
         path = GOLDEN_DIR / f"{workload}_seed{seed}.json"
-        expected = json.loads(path.read_text())
-        got = run_fingerprint(workload, seed, scale)
-        assert got == expected, (
-            f"fixed-seed {workload} run diverged from {path.name}; if the "
-            f"behaviour change is intentional, regenerate the goldens "
-            f"(see regen_goldens) and commit them")
+        failures = goldens.check(path, run_fingerprint(workload, seed, scale))
+        assert not failures, (
+            f"fixed-seed {workload} run diverged from {path.name}: "
+            f"{failures}; if the behaviour change is intentional, rerun "
+            f"with REPRO_UPDATE_GOLDENS=1 and commit the goldens")
 
     def test_repeat_runs_are_identical(self):
         """Two runs in one process agree exactly — no hidden global

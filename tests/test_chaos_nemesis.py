@@ -4,7 +4,7 @@ REGION-survivable range, audited Jepsen-style.
 The quick tests run one seed of the flagship scenarios as part of
 tier 1.  The exhaustive all-scenarios x 5-seeds sweep is marked
 ``chaos`` and excluded by default — run it with ``pytest -m chaos``
-or ``python scripts/chaos_sweep.py``.
+or ``python -m repro sweep --kinds chaos,verify --seeds 5``.
 """
 
 import pytest
